@@ -2,26 +2,48 @@
 
 The maze router works on a uniform lattice over the routing region.  A
 lattice node is usable when a wire footprint centred there, grown by the
-technology's spacing, overlaps no blockage — blockages being every metal
-rectangle of the placed blocks and pad ring (queried through the spatial
-index built once per assembly) plus the wires of previously routed nets.
-Metal is the routing layer and only metal blocks it: poly and diffusion
-running underneath cannot short to a route without a contact cut, which the
-router never draws.
+technology's spacing, lies inside the region and shares no interior area
+with a blockage — blockages being every metal rectangle of the placed
+blocks and pad ring plus the wires of previously routed nets.  Metal is the
+routing layer and only metal blocks it: poly and diffusion running
+underneath cannot short to a route without a contact cut, which the router
+never draws.
 
-Search is Dijkstra with unit step cost and a small turn penalty (fewer
-corners means fewer rectangles and less capacitance), budget-bounded so an
-unroutable maze terminates with a diagnostic instead of flooding.  Where a
-whole group of connections faces one pad-ring side across an empty
-corridor, :class:`PnrRouter` skips the maze entirely and hands the group to
-the planar river router — the cheap, provably non-crossing special case.
+**Occupancy map.**  Each :class:`MazeRouter` keeps one reference count per
+lattice node: how many blockages it currently has.  The static obstacles
+are stamped once at construction; ``add_obstacles``/``remove_obstacles``
+stamp or un-stamp a routed wire in time proportional to its footprint, so
+rip-up and restore are cheap and a node is free exactly when its count is
+zero.  Nodes whose footprint leaves the region carry a permanent count, as
+does a ring of sentinel nodes round the lattice, so the searches step to a
+neighbour without bounds checks.  A route may land on the metal at its own
+terminals (pad tail, block port tab): those static obstacles are un-stamped
+for the duration of the request and restored afterwards, which folds the
+per-request exemption into the same map.
+
+**Reachability proof.**  Before searching, a bidirectional breadth-first
+walk over free nodes, always growing the smaller frontier, decides whether
+the terminals share a free region.  When they do not, the request fails at
+once with ``ROU005`` (cause ``"unreachable"``) after exploring only the
+smaller side, instead of flooding the larger one.
+
+**Search.**  Dijkstra with unit step cost and a small turn penalty (fewer
+corners means fewer rectangles and less capacitance), budget-bounded so a
+search that cannot finish raises ``ROU006`` (cause ``"budget"``) instead of
+hanging.  Equal-cost ties break in push order, so routes depend only on the
+obstacle set.  Where a whole group of connections faces one pad-ring side
+across an empty corridor, :class:`PnrRouter` skips the maze entirely and
+hands the group to the planar river router — the cheap, provably
+non-crossing special case.
 """
 
 from __future__ import annotations
 
 import heapq
+from collections import Counter
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.assembly.river import RiverRoutingError, river_route
 from repro.diagnostics import (
@@ -41,9 +63,31 @@ from repro.technology.technology import Technology
 
 
 class RoutingError(DiagnosticError, ValueError):
-    """No path exists between the requested terminals."""
+    """No path exists between the requested terminals.
+
+    ``cause`` names why the attempt failed: ``"unreachable"`` when the
+    terminals are blocked or lie in different free regions of the lattice,
+    ``"budget"`` when the search ran out of expansions first.
+    """
 
     default_code = "ROU005"
+
+    def __init__(self, message: str,
+                 diagnostic: Optional[Diagnostic] = None,
+                 cause: str = "unreachable"):
+        super().__init__(message, diagnostic)
+        self.cause = cause
+
+
+#: The exceptions a failed route attempt raises.
+ROUTE_FAILURES = (RoutingError, BudgetExceeded)
+
+
+def failure_cause(error: Exception) -> str:
+    """``"unreachable"`` or ``"budget"`` for a failed route attempt."""
+    if isinstance(error, RoutingError):
+        return error.cause
+    return "budget"
 
 
 @dataclass(frozen=True)
@@ -84,42 +128,121 @@ class RoutingReport:
 
 
 class MazeRouter:
-    """Grid router over a fixed obstacle set plus accumulated routes."""
+    """Grid router over a fixed obstacle set plus accumulated routes.
+
+    Lattice node ``(i, j)`` sits at ``(x1 + i * pitch, y1 + j * pitch)`` of
+    ``bounds`` and is stored at ``(j + 1) * stride + i + 1`` of the
+    occupancy map, one sentinel column and row padding each side.
+    """
 
     def __init__(self, bounds: Rect, obstacles: Sequence[Rect],
                  wire_width: int = 3, spacing: int = 3,
                  grid: Optional[int] = None,
                  turn_cost: int = 2,
                  max_expansions: int = 200_000):
+        pitch = grid if grid is not None else wire_width + spacing
+        if wire_width < 1 or pitch < 1:
+            raise ValueError(
+                f"maze lattice needs wire width >= 1 and pitch >= 1, got "
+                f"width {wire_width} and pitch {pitch}")
         self.bounds = bounds
         self.wire_width = wire_width
         self.spacing = spacing
-        self.pitch = grid if grid is not None else wire_width + spacing
+        self.pitch = pitch
         self.turn_cost = turn_cost
         self.max_expansions = max_expansions
         self._obstacles = list(obstacles)
         self._index: SpatialIndex = build_index(self._obstacles)
-        #: Wires routed so far (checked in addition to the static index).
-        self._routed_rects: List[Rect] = []
+        #: Wires routed so far, as a multiset (each copy is stamped once).
+        self._routed: Counter = Counter()
+        self._cols = max(0, (bounds.x2 - bounds.x1) // pitch + 1)
+        self._rows = max(0, (bounds.y2 - bounds.y1) // pitch + 1)
+        self._stride = self._cols + 2
+        self._blocked = self._boundary_map()
+        for rect in self._obstacles:
+            self._stamp(rect, 1)
+
+    # -- occupancy map ---------------------------------------------------------------
+
+    def _boundary_map(self) -> List[int]:
+        """Count 1 on sentinels and on nodes whose footprint leaves the
+        bounds, 0 elsewhere."""
+        half = self.wire_width // 2
+        other = self.wire_width - half
+        pitch, bounds = self.pitch, self.bounds
+
+        def inside(low: int, high: int, count: int) -> List[bool]:
+            return ([False]
+                    + [low <= low + k * pitch - half
+                       and low + k * pitch + other <= high
+                       for k in range(count)]
+                    + [False])
+
+        columns = inside(bounds.x1, bounds.x2, self._cols)
+        return [0 if row_ok and column_ok else 1
+                for row_ok in inside(bounds.y1, bounds.y2, self._rows)
+                for column_ok in columns]
+
+    def _stamp(self, rect: Rect, delta: int) -> None:
+        """Add ``delta`` to the count of every node ``rect`` blocks.
+
+        ``rect`` blocks node ``(x, y)`` when it shares interior area with
+        the node's footprint grown by the spacing: ``x - w//2 - s < x2`` and
+        ``x1 < x + (w - w//2) + s``, and likewise in y.
+        """
+        below = self.wire_width // 2 + self.spacing
+        above = self.wire_width - self.wire_width // 2 + self.spacing
+        pitch, bounds = self.pitch, self.bounds
+        i1 = max((rect.x1 - above - bounds.x1) // pitch + 1, 0)
+        i2 = min((rect.x2 + below - bounds.x1 - 1) // pitch, self._cols - 1)
+        j1 = max((rect.y1 - above - bounds.y1) // pitch + 1, 0)
+        j2 = min((rect.y2 + below - bounds.y1 - 1) // pitch, self._rows - 1)
+        if i1 > i2:
+            return
+        blocked, stride = self._blocked, self._stride
+        for j in range(j1 + 1, j2 + 2):
+            start, stop = j * stride + i1 + 1, j * stride + i2 + 2
+            blocked[start:stop] = [count + delta
+                                   for count in blocked[start:stop]]
+
+    def _node(self, x: int, y: int) -> Optional[int]:
+        """Map slot of lattice node ``(x, y)``; ``None`` off the lattice."""
+        i = (x - self.bounds.x1) // self.pitch
+        j = (y - self.bounds.y1) // self.pitch
+        if 0 <= i < self._cols and 0 <= j < self._rows:
+            return (j + 1) * self._stride + i + 1
+        return None
+
+    def _point(self, node: int) -> Point:
+        j, i = divmod(node, self._stride)
+        return Point(self.bounds.x1 + (i - 1) * self.pitch,
+                     self.bounds.y1 + (j - 1) * self.pitch)
+
+    def _free(self, x: int, y: int) -> bool:
+        """Whether a wire may be centred on lattice node ``(x, y)``."""
+        node = self._node(x, y)
+        return node is not None and not self._blocked[node]
 
     # -- obstacle bookkeeping --------------------------------------------------------
 
     def add_obstacles(self, rects: Sequence[Rect]) -> None:
         """Block future routes with ``rects`` (e.g. a net just drawn)."""
-        self._routed_rects.extend(rects)
+        for rect in rects:
+            self._routed[rect] += 1
+            self._stamp(rect, 1)
 
     def remove_obstacles(self, rects: Sequence[Rect]) -> None:
-        """Unblock ``rects`` previously added (e.g. a ripped-up net)."""
-        for rect in rects:
-            try:
-                self._routed_rects.remove(rect)
-            except ValueError:
-                pass
+        """Unblock ``rects`` previously added (e.g. a ripped-up net).
 
-    def _footprint(self, x: int, y: int) -> Rect:
-        half = self.wire_width // 2
-        other = self.wire_width - half
-        return Rect(x - half, y - half, x + other, y + other)
+        A rectangle not currently added is ignored.
+        """
+        for rect in rects:
+            if not self._routed[rect]:
+                continue
+            self._routed[rect] -= 1
+            if not self._routed[rect]:
+                del self._routed[rect]
+            self._stamp(rect, -1)
 
     def _exempt_ids(self, *points: Point) -> Set[int]:
         """Static obstacles a route may legally touch: the terminal shapes.
@@ -136,19 +259,17 @@ class MazeRouter:
             exempt.update(self._index.query(probe))
         return exempt
 
-    def _free(self, x: int, y: int, exempt: Set[int]) -> bool:
-        foot = self._footprint(x, y)
-        if not (self.bounds.x1 <= foot.x1 and foot.x2 <= self.bounds.x2
-                and self.bounds.y1 <= foot.y1 and foot.y2 <= self.bounds.y2):
-            return False
-        probe = foot.expanded(self.spacing)
-        for i in self._index.query(probe, strict=True):
-            if i not in exempt:
-                return False
-        for rect in self._routed_rects:
-            if probe.overlaps(rect, strict=True):
-                return False
-        return True
+    @contextmanager
+    def _exempting(self, ids: Set[int]) -> Iterator[None]:
+        """Un-stamp the static obstacles ``ids`` for the duration."""
+        rects = [self._obstacles[i] for i in ids]
+        for rect in rects:
+            self._stamp(rect, -1)
+        try:
+            yield
+        finally:
+            for rect in rects:
+                self._stamp(rect, 1)
 
     # -- search ---------------------------------------------------------------------
 
@@ -159,10 +280,14 @@ class MazeRouter:
         joined, or :class:`~repro.diagnostics.BudgetExceeded` (ROU006) when
         the expansion budget runs out first.
         """
+        with self._exempting(self._exempt_ids(request.source,
+                                              request.target)):
+            return self._search(request)
+
+    def _search(self, request: RouteRequest) -> RoutedNet:
         source, target = request.source, request.target
-        exempt = self._exempt_ids(source, target)
-        start = self._snap(source, exempt)
-        goal = self._snap(target, exempt)
+        start = self._snap(source)
+        goal = self._snap(target)
         if start is None or goal is None:
             raise RoutingError(
                 f"net {request.name!r}: no free grid node near "
@@ -171,37 +296,40 @@ class MazeRouter:
                            f"terminals of net {request.name!r} are blocked",
                            hint="clear the area around the terminals or "
                                 "widen the routing region"))
+        start_node, goal_node = self._node(*start), self._node(*goal)
+        if not self._connected(start_node, goal_node):
+            raise _no_path(request)
 
+        message = (f"maze router exceeded {self.max_expansions} expansions "
+                   f"routing net {request.name!r}")
         budget = Budget(iterations=self.max_expansions,
                         label=f"maze expansion for {request.name}",
                         code="ROU006")
-        came: Dict[Tuple[int, int, int], Tuple[int, int, int]] = {}
-        # State: (x, y, heading); headings 0=none, 1=horizontal, 2=vertical.
-        costs: Dict[Tuple[int, int, int], int] = {(start[0], start[1], 0): 0}
-        frontier: List[Tuple[int, int, Tuple[int, int, int]]] = [
-            (0, 0, (start[0], start[1], 0))]
+        blocked, pitch, turn_cost = self._blocked, self.pitch, self.turn_cost
+        moves = ((1, 1), (-1, 1), (self._stride, 2), (-self._stride, 2))
+        # State: node * 4 + heading; headings 0=none, 1=horizontal, 2=vertical.
+        came: Dict[int, int] = {}
+        costs: Dict[int, int] = {start_node * 4: 0}
+        frontier: List[Tuple[int, int, int]] = [(0, 0, start_node * 4)]
         tie = 0
-        found: Optional[Tuple[int, int, int]] = None
+        found: Optional[int] = None
         while frontier:
-            budget.tick(
-                f"maze router exceeded {self.max_expansions} expansions "
-                f"routing net {request.name!r}")
+            budget.tick(message)
             cost, _, state = heapq.heappop(frontier)
             if cost > costs.get(state, cost):
                 continue
-            x, y, heading = state
-            if (x, y) == goal:
+            node, heading = state >> 2, state & 3
+            if node == goal_node:
                 found = state
                 break
-            for dx, dy, new_heading in ((self.pitch, 0, 1), (-self.pitch, 0, 1),
-                                        (0, self.pitch, 2), (0, -self.pitch, 2)):
-                nx, ny = x + dx, y + dy
-                if not self._free(nx, ny, exempt):
+            for move, new_heading in moves:
+                next_node = node + move
+                if blocked[next_node]:
                     continue
-                step = self.pitch
+                step = pitch
                 if heading and new_heading != heading:
-                    step += self.turn_cost
-                next_state = (nx, ny, new_heading)
+                    step += turn_cost
+                next_state = next_node * 4 + new_heading
                 next_cost = cost + step
                 if next_cost < costs.get(next_state, next_cost + 1):
                     costs[next_state] = next_cost
@@ -209,20 +337,45 @@ class MazeRouter:
                     tie += 1
                     heapq.heappush(frontier, (next_cost, tie, next_state))
         if found is None:
-            raise RoutingError(
-                f"net {request.name!r}: no path from {source} to {target}",
-                Diagnostic(Severity.ERROR, "ROU005",
-                           f"maze router found no path for net {request.name!r}",
-                           hint="the routing region may be fully blocked"))
+            raise _no_path(request)
 
-        points = self._reconstruct(came, found, start)
+        points = self._reconstruct(came, found, start_node)
         points = _attach(source, points, prepend=True)
         points = _attach(target, points, prepend=False)
         points = _simplify(points)
         return RoutedNet(request.name, points, _length(points))
 
-    def _snap(self, point: Point, exempt: Set[int],
-              ) -> Optional[Tuple[int, int]]:
+    def _connected(self, a: int, b: int) -> bool:
+        """Whether free nodes ``a`` and ``b`` share a free 4-neighbour region.
+
+        Bidirectional breadth-first walk that always grows the smaller
+        frontier, so a terminal walled into a pocket is proved unreachable
+        after exploring only the pocket.
+        """
+        if a == b:
+            return True
+        blocked = self._blocked
+        steps = (1, -1, self._stride, -self._stride)
+        near_seen, far_seen = {a}, {b}
+        near, far = [a], [b]
+        while near and far:
+            if len(near) > len(far):
+                near, far = far, near
+                near_seen, far_seen = far_seen, near_seen
+            grown = []
+            for node in near:
+                for step in steps:
+                    neighbour = node + step
+                    if neighbour in far_seen:
+                        return True
+                    if blocked[neighbour] or neighbour in near_seen:
+                        continue
+                    near_seen.add(neighbour)
+                    grown.append(neighbour)
+            near = grown
+        return False
+
+    def _snap(self, point: Point) -> Optional[Tuple[int, int]]:
         """Nearest free lattice node to ``point`` (searching outwards)."""
         base_x = self.bounds.x1 + round((point.x - self.bounds.x1) / self.pitch) * self.pitch
         base_y = self.bounds.y1 + round((point.y - self.bounds.y1) / self.pitch) * self.pitch
@@ -236,22 +389,32 @@ class MazeRouter:
                                        base_y + dy * self.pitch))
             candidates.sort(key=lambda c: abs(c[0] - point.x) + abs(c[1] - point.y))
             for x, y in candidates:
-                if self._free(x, y, exempt):
+                if self._free(x, y):
                     return (x, y)
         return None
 
-    def _reconstruct(self, came: Dict, state: Tuple[int, int, int],
-                     start: Tuple[int, int]) -> List[Point]:
-        points = [Point(state[0], state[1])]
+    def _reconstruct(self, came: Dict[int, int], state: int,
+                     start_node: int) -> List[Point]:
+        points = [self._point(state >> 2)]
         while state in came:
             state = came[state]
-            point = Point(state[0], state[1])
+            point = self._point(state >> 2)
             if point != points[-1]:
                 points.append(point)
-        if points[-1] != Point(start[0], start[1]):
-            points.append(Point(start[0], start[1]))
+        start = self._point(start_node)
+        if points[-1] != start:
+            points.append(start)
         points.reverse()
         return points
+
+
+def _no_path(request: RouteRequest) -> RoutingError:
+    return RoutingError(
+        f"net {request.name!r}: no path from {request.source} to "
+        f"{request.target}",
+        Diagnostic(Severity.ERROR, "ROU005",
+                   f"maze router found no path for net {request.name!r}",
+                   hint="the routing region may be fully blocked"))
 
 
 class PnrRouter:
@@ -306,22 +469,11 @@ class PnrRouter:
                     remaining = [r for r in remaining if r.side != side]
             for request in remaining:
                 try:
-                    with obs_trace.span("pnr.maze", cat="pnr",
-                                        net=request.name):
+                    with _traced("pnr.maze", request):
                         net = self.route_one(cell, request)
                     obs_metrics.counter("pnr.route.maze").inc()
-                except (RoutingError, BudgetExceeded) as error:
-                    with obs_trace.span("pnr.half_pitch", cat="pnr",
-                                        net=request.name):
-                        net = self._retry_fine(cell, request)
-                    if net is not None:
-                        obs_metrics.counter("pnr.route.half_pitch").inc()
-                    else:
-                        with obs_trace.span("pnr.ripup", cat="pnr",
-                                            net=request.name):
-                            net = self._rip_and_reroute(cell, request, report)
-                        if net is not None:
-                            obs_metrics.counter("pnr.ripup.success").inc()
+                except ROUTE_FAILURES as error:
+                    net = self._escalate(cell, request, report, error)
                     if net is None:
                         obs_metrics.counter("pnr.route.failed").inc()
                         report.failed.append((request, error))
@@ -335,34 +487,66 @@ class PnrRouter:
         self._draw(cell, request, net.points)
         return net
 
-    def _retry_fine(self, cell: Cell,
-                    request: RouteRequest) -> Optional[RoutedNet]:
+    def _escalate(self, cell: Cell, request: RouteRequest,
+                  report: RoutingReport,
+                  error: Exception) -> Optional[RoutedNet]:
+        """Half-pitch retry, then rip-up, for a net the coarse maze failed
+        with ``error``; ``None`` when both fail."""
+        try:
+            with _traced("pnr.half_pitch", request):
+                net = self._retry_fine(cell, request)
+            obs_metrics.counter("pnr.route.half_pitch").inc()
+            return net
+        except ROUTE_FAILURES:
+            pass
+        try:
+            with _traced("pnr.ripup", request):
+                net = self._rip_and_reroute(cell, request, report, error)
+        except ROUTE_FAILURES:
+            return None
+        obs_metrics.counter("pnr.ripup.success").inc()
+        return net
+
+    def _retry_fine(self, cell: Cell, request: RouteRequest) -> RoutedNet:
         """Second attempt on a half-pitch lattice.
 
         A corridor narrower than one coarse pitch is invisible to the main
-        grid; halving the pitch recovers those nets.  The fine maze shares
-        the routed-wire list with the coarse one, so wires drawn by either
-        block both.
+        grid; halving the pitch recovers those nets.  Raises like
+        :meth:`MazeRouter.route`.
         """
+        net = self._fine_router().route(request)
+        self._draw(cell, request, net.points)
+        return net
+
+    def _fine_router(self) -> MazeRouter:
+        """The half-pitch lattice, built on first use with every wire routed
+        so far (later wires reach both lattices through ``_block``)."""
         fine = self.pitch // 2
         if fine < 2:
-            return None
+            raise RoutingError(
+                f"pitch {self.pitch} has no half-pitch lattice",
+                Diagnostic(Severity.ERROR, "ROU005",
+                           "no half-pitch lattice below pitch 4",
+                           hint="widen the routing pitch"))
         if self._fine_maze is None:
             self._fine_maze = MazeRouter(self.maze.bounds,
                                          self.maze._obstacles,
                                          wire_width=self.wire_width,
                                          spacing=self.spacing, grid=fine,
                                          max_expansions=self.maze.max_expansions)
-            self._fine_maze._routed_rects = self.maze._routed_rects
+            self._fine_maze.add_obstacles(list(self.maze._routed.elements()))
+        return self._fine_maze
+
+    def _route_with_retry(self, cell: Cell,
+                          request: RouteRequest) -> RoutedNet:
         try:
-            net = self._fine_maze.route(request)
-        except (RoutingError, BudgetExceeded):
-            return None
-        self._draw(cell, request, net.points)
-        return net
+            return self.route_one(cell, request)
+        except ROUTE_FAILURES:
+            return self._retry_fine(cell, request)
 
     def _rip_and_reroute(self, cell: Cell, request: RouteRequest,
-                         report: RoutingReport) -> Optional[RoutedNet]:
+                         report: RoutingReport,
+                         error: Exception) -> RoutedNet:
         """Last resort: rip up an earlier net that seals the failed one in.
 
         Earlier maze routes become obstacles, and in a tight corridor the
@@ -371,7 +555,8 @@ class PnrRouter:
         net's bounding box first: rip it, route the failed net, then reroute
         the victim.  If either step fails the victim's original wire is
         restored and the next candidate is tried.  One level only — a
-        victim's reroute never rips a third net.
+        victim's reroute never rips a third net.  Raises the last
+        attempt's failure, or ``error`` when there was nothing to rip.
         """
         bbox = Rect(min(request.source.x, request.target.x),
                     min(request.source.y, request.target.y),
@@ -395,18 +580,16 @@ class PnrRouter:
             obs_metrics.counter("pnr.ripup.attempts").inc()
             self._undraw(cell, victim_name)
             try:
-                net = self.route_one(cell, request)
-            except (RoutingError, BudgetExceeded):
-                net = self._retry_fine(cell, request)
-            if net is None:
+                net = self._route_with_retry(cell, request)
+            except ROUTE_FAILURES as failure:
+                error = failure
                 self._restore(cell, victim_name, shape, rects, victim_request)
                 continue
             try:
-                victim_net = self.route_one(cell, victim_request)
-            except (RoutingError, BudgetExceeded):
-                victim_net = self._retry_fine(cell, victim_request)
-            if victim_net is None:
+                victim_net = self._route_with_retry(cell, victim_request)
+            except ROUTE_FAILURES as failure:
                 # The victim can no longer route around the new wire: undo.
+                error = failure
                 self._undraw(cell, request.name)
                 self._restore(cell, victim_name, shape, rects, victim_request)
                 continue
@@ -415,7 +598,7 @@ class PnrRouter:
                     report.routed[index] = victim_net
                     break
             return net
-        return None
+        raise error
 
     def _undraw(self, cell: Cell, name: str) -> None:
         shape, rects, _ = self._drawn.pop(name)
@@ -423,13 +606,24 @@ class PnrRouter:
             cell.shapes.remove(shape)
         except ValueError:
             pass
-        self.maze.remove_obstacles(rects)
+        self._unblock(rects)
 
     def _restore(self, cell: Cell, name: str, shape, rects: List[Rect],
                  request: RouteRequest) -> None:
         cell.shapes.append(shape)
-        self.maze.add_obstacles(rects)
+        self._block(rects)
         self._drawn[name] = (shape, rects, request)
+
+    def _block(self, rects: List[Rect]) -> None:
+        """Stamp ``rects`` on every lattice built so far."""
+        self.maze.add_obstacles(rects)
+        if self._fine_maze is not None:
+            self._fine_maze.add_obstacles(rects)
+
+    def _unblock(self, rects: List[Rect]) -> None:
+        self.maze.remove_obstacles(rects)
+        if self._fine_maze is not None:
+            self._fine_maze.remove_obstacles(rects)
 
     # -- river-corridor fast path ----------------------------------------------------
 
@@ -471,7 +665,7 @@ class PnrRouter:
         blocked = [i for i in self.maze._index.query(
             corridor.expanded(self.spacing), strict=True) if i not in exempt]
         if blocked or any(corridor.expanded(self.spacing).overlaps(r, strict=True)
-                          for r in self.maze._routed_rects):
+                          for r in self.maze._routed):
             return None
         try:
             route = river_route(cell, bottom, top, layer=self.layer,
@@ -482,7 +676,7 @@ class PnrRouter:
         routed: List[RoutedNet] = []
         for request, points in zip(ordered, route.wires):
             rects = _wire_rects(points, self.wire_width)
-            self.maze.add_obstacles(rects)
+            self._block(rects)
             routed.append(RoutedNet(request.name, list(points),
                                     _length(points), method="river"))
         return routed
@@ -493,8 +687,20 @@ class PnrRouter:
             return
         shape = cell.add_wire(self.layer, points, self.wire_width)
         rects = shape.as_rects()
-        self.maze.add_obstacles(rects)
+        self._block(rects)
         self._drawn[request.name] = (shape, rects, request)
+
+
+@contextmanager
+def _traced(name: str, request: RouteRequest) -> Iterator[None]:
+    """A ``pnr`` span round one routing attempt; a failure records its
+    ``cause`` on the span before propagating."""
+    with obs_trace.span(name, cat="pnr", net=request.name) as span:
+        try:
+            yield
+        except ROUTE_FAILURES as error:
+            span.set(cause=failure_cause(error))
+            raise
 
 
 # -- geometry helpers ---------------------------------------------------------------
