@@ -63,10 +63,11 @@ class CellInstance:
 class Cell:
     """A layout cell: geometry + labels + ports + child instances.
 
-    Mutate cells only through the ``add_*`` methods (or call
-    :meth:`_mutated` after touching ``shapes``/``labels``/``instances``
-    directly): the memoized flat views in :mod:`repro.layout.flatten` rely
-    on the mutation counter those methods maintain.
+    Mutate cells only through the ``add_*`` methods and
+    :meth:`remove_shape` (or call :meth:`_mutated` after touching
+    ``shapes``/``labels``/``instances`` directly): the memoized
+    :meth:`bbox` and the flat views in :mod:`repro.layout.flatten` rely on
+    the mutation counter those methods maintain.
     """
 
     def __init__(self, name: str):
@@ -83,6 +84,8 @@ class Cell:
         # (repro.analysis.hier) can key on a single integer per cell.
         self._version = 0
         self._flat_cache = None
+        # (version, extent) of the last bbox() answer; see bbox().
+        self._bbox_cache: Optional[Tuple[int, Optional[Rect]]] = None
         # Weak back-references to the cells that instantiate this one, used to
         # propagate mutations upward (transitive invalidation).
         self._parents: Dict[int, "weakref.ref[Cell]"] = {}
@@ -96,14 +99,19 @@ class Cell:
     # the cells that arrived in the same pickle.  A parent outside the
     # pickled subgraph is not reconstructed — mutation propagation is scoped
     # to the transferred DAG, which is all a worker process can see anyway.
+    # The bbox memo is dropped from the state too, so a pickled cell has the
+    # same layout as the STORE_FORMAT 1 blobs already on disk; __setstate__
+    # defaults it.
 
     def __getstate__(self):
         state = self.__dict__.copy()
         state["_parents"] = {}
         state["_flat_cache"] = None
+        state.pop("_bbox_cache", None)
         return state
 
     def __setstate__(self, state):
+        self._bbox_cache = None
         self.__dict__.update(state)
         for instance in self.instances:
             instance.cell._parents[id(self)] = weakref.ref(self)
@@ -148,6 +156,14 @@ class Cell:
         self.shapes.append(shape)
         self._mutated()
         return shape
+
+    def remove_shape(self, shape: Shape) -> None:
+        """Remove the first shape equal to ``shape``.
+
+        Raises ``ValueError`` if the cell holds no such shape.
+        """
+        self.shapes.remove(shape)
+        self._mutated()
 
     def add_rect(self, layer: str, rect: Rect) -> Shape:
         return self.add_shape(Shape(layer, rect))
@@ -285,7 +301,17 @@ class Cell:
         return order
 
     def bbox(self) -> Optional[Rect]:
-        """Extent of own geometry plus all instance extents (recursive)."""
+        """Extent of own geometry, labels and all instance extents.
+
+        Memoized on :attr:`subtree_version`: a mutation anywhere below this
+        cell bumps its version, so the cached extent is recomputed exactly
+        when it may have changed, and each child's extent comes from the
+        child's own memo.  Repeated ``bbox``/``width``/``height`` queries on
+        an unchanged hierarchy therefore cost one version compare.
+        """
+        cache = self._bbox_cache
+        if cache is not None and cache[0] == self._version:
+            return cache[1]
         box = BoundingBox()
         for shape in self.shapes:
             box.add_rect(shape.bbox)
@@ -295,7 +321,9 @@ class Cell:
             child_box = instance.bbox
             if child_box is not None:
                 box.add_rect(child_box)
-        return None if box.is_empty else box.rect()
+        extent = None if box.is_empty else box.rect()
+        self._bbox_cache = (self._version, extent)
+        return extent
 
     @property
     def width(self) -> int:

@@ -18,7 +18,9 @@ Three pillars, one package:
   plus the minimal reader the golden-trace tests use.
 
 ``python -m repro.obs <files...>`` validates trace JSON and VCD files with
-the in-repo readers (used by CI on the artifacts the examples emit).
+the in-repo readers (used by CI on the artifacts the examples emit);
+``python -m repro.obs profile trace.json`` prints per-span total and self
+time (:mod:`repro.obs.profile`).
 """
 
 from repro.obs import metrics, trace, vcd

@@ -37,9 +37,10 @@ class _BlockStub:
     """The placement-relevant snapshot of a cell: its extent and ports.
 
     Quacks like a :class:`~repro.layout.cell.Cell` as far as the shelf
-    packer and the wirelength evaluator are concerned, but costs nothing to
-    re-measure, which matters when the annealer packs hundreds of candidate
-    orders of blocks whose real ``bbox`` is a full hierarchy walk.
+    packer and the wirelength evaluator are concerned.  ``Cell.bbox`` is
+    memoized, but ``width``/``height`` still each check the memo and
+    ``Cell.ports`` copies the port dict on every read; the annealer packs
+    hundreds of candidate orders, so plain attributes stay cheapest.
     """
 
     def __init__(self, cell: Cell):
@@ -94,9 +95,9 @@ def refine_placement(blocks: Sequence[Tuple[str, Cell]],
     placement found so far is returned with ``budget_exhausted`` set rather
     than raising, so a slow anneal can never block assembly.
     """
-    # ``Cell.bbox`` is recursive and uncached; the annealer packs hundreds
-    # of candidate orders, so it works on dimension snapshots and only the
-    # winning order is packed with the real cells.
+    # The annealer packs hundreds of candidate orders, so it works on
+    # attribute snapshots (see _BlockStub) and only the winning order is
+    # packed with the real cells.
     stubs = [(name, _BlockStub(cell)) for name, cell in blocks]
     baseline = pack_shelves(stubs, max_width=max_width, spacing=spacing)
     anchors = _pad_anchors(pads, baseline.width, baseline.height)

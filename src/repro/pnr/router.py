@@ -603,14 +603,14 @@ class PnrRouter:
     def _undraw(self, cell: Cell, name: str) -> None:
         shape, rects, _ = self._drawn.pop(name)
         try:
-            cell.shapes.remove(shape)
+            cell.remove_shape(shape)
         except ValueError:
             pass
         self._unblock(rects)
 
     def _restore(self, cell: Cell, name: str, shape, rects: List[Rect],
                  request: RouteRequest) -> None:
-        cell.shapes.append(shape)
+        cell.add_shape(shape)
         self._block(rects)
         self._drawn[name] = (shape, rects, request)
 

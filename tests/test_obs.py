@@ -31,7 +31,7 @@ from repro.diagnostics import (
 from repro.generators import FsmLayoutGenerator, PlaGenerator
 from repro.logic import TruthTable, parse_expr
 from repro.netlist import GateLevelSimulator, GateType, Module
-from repro.obs import metrics, trace, vcd
+from repro.obs import metrics, profile, trace, vcd
 from repro.parallel import log_phase, phase, phase_log, reset_phase_log
 from repro.rtl import RtlSimulator, parse_rtl
 from repro.sim import compile_netlist, run_streams
@@ -457,6 +457,57 @@ class TestFlowMetricsSnapshots:
             assert produced == json.load(handle)
 
 
+# -- profile: self-time arithmetic --------------------------------------------
+
+
+def _x(name, cat, ts, dur, tid=1, pid=1):
+    return {"name": name, "cat": cat, "ph": "X", "ts": ts, "dur": dur,
+            "pid": pid, "tid": tid, "args": {}}
+
+
+#: Completion order, as the tracer records it.  Thread 1 nests
+#: outer[0,100) > mid[10,40) > leaf[15,25), and outer > wrap[50,70) >
+#: mid[50,70): equal intervals, the later event encloses the earlier.
+#: Thread 2's outer overlaps thread 1 in time but is nobody's child.
+NESTED = [
+    _x("leaf", "b", 15, 10),
+    _x("mid", "b", 10, 30),
+    {"name": "mark", "cat": "a", "ph": "i", "s": "p", "ts": 60, "pid": 1,
+     "tid": 1, "args": {}},
+    _x("mid", "b", 50, 20),
+    _x("wrap", "a", 50, 20),
+    _x("outer", "a", 0, 100),
+    _x("outer", "a", 5, 50, tid=2),
+]
+
+
+class TestProfile:
+    def test_self_time_subtracts_direct_children_per_thread(self):
+        assert profile.self_times(NESTED) == [10, 20, 0, 20, 0, 50, 50]
+
+    def test_grouped_by_name_sorted_by_self_time(self):
+        assert profile.profile(NESTED) == [
+            profile.ProfileRow("outer", 2, 150, 100),
+            profile.ProfileRow("mid", 2, 50, 40),
+            profile.ProfileRow("leaf", 1, 10, 10),
+            profile.ProfileRow("wrap", 1, 20, 0),
+        ]
+
+    def test_grouped_by_category_adds_up_to_thread_wall_time(self):
+        rows = profile.profile(NESTED, by="cat")
+        assert rows == [profile.ProfileRow("a", 3, 170, 100),
+                        profile.ProfileRow("b", 3, 60, 50)]
+        assert sum(row.self_us for row in rows) == 100 + 50
+        table = profile.format_profile(rows, by="cat").splitlines()
+        assert table[1].split() == ["a", "3", f"{170 / 1e6:.4f}",
+                                    f"{100 / 1e6:.4f}", "66.7%"]
+        assert table[-1].split() == ["traced", f"{150 / 1e6:.4f}"]
+
+    def test_unknown_grouping_is_rejected(self):
+        with pytest.raises(ValueError):
+            profile.profile(NESTED, by="pid")
+
+
 # -- command-line validators ---------------------------------------------------
 
 
@@ -483,6 +534,33 @@ class TestCliValidators:
         bad.write_text("$enddefinitions $end\n#0\n1!\n")
         result = self._run(str(bad))
         assert result.returncode == 1
+
+    def test_profile_of_a_traced_quickstart(self, tmp_path):
+        trace_path = str(tmp_path / "quickstart_trace.json")
+        example = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                               os.pardir, "examples", "quickstart.py")
+        subprocess.run([sys.executable, example, "--out", str(tmp_path),
+                        "--trace", trace_path],
+                       check=True, capture_output=True, timeout=300)
+        events = trace.read_trace(trace_path)["events"]
+        for by in ("name", "cat"):
+            result = self._run("profile", trace_path, "--by", by)
+            assert result.returncode == 0, result.stderr
+            lines = result.stdout.splitlines()
+            assert lines[0].split() == [by, "count", "total", "s", "self",
+                                        "s", "self", "%"]
+            rows = profile.profile(events, by)
+            assert [line.split()[0] for line in lines[1:-1]] == [
+                row.key for row in rows]
+            assert "drc" in lines[1]
+            assert lines[-1].split() == [
+                "traced", f"{sum(row.self_us for row in rows) / 1e6:.4f}"]
+
+    def test_profile_rejects_a_bad_trace(self, tmp_path):
+        bad = tmp_path / "bad.json"
+        bad.write_text("[]")
+        assert self._run("profile", str(bad)).returncode == 1
+        assert self._run("profile", str(bad), "--by", "pid").returncode == 2
 
     def test_check_regression_summarize(self):
         script = os.path.join(os.path.dirname(os.path.abspath(__file__)),
