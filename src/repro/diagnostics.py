@@ -21,7 +21,7 @@ vocabulary defined here:
   (settle sweeps, component re-merges, routing, path enumeration), raising
   :class:`BudgetExceeded` instead of hanging;
 * :func:`run_with_fallback` degrades a fast path (compiled kernel, spatial
-  index, incremental settle, parallel worker pool — ``FBK007``) to its
+  index, incremental settle) to its
   retained reference implementation with a warning — unless
   ``REPRO_STRICT=1`` is set, in which case the failure is fatal so CI
   cannot silently mask a fast-path regression.

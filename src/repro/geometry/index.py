@@ -22,11 +22,9 @@ iteration order of the historical all-pairs loops get identical results.
 
 These ordering contracts (ascending query ids; :meth:`UnionFind.components`
 ordered by smallest member with members ascending, independent of union
-call order) are what the tile-sharded engines in :mod:`repro.parallel`
-build on: a worker's locally indexed ids map monotonically back to global
-ids, and the parent's cross-tile union-find stitches per-tile edges into
-exactly the serial component order — which is how sharded output stays
-byte-identical to the serial engines for any worker count or tiling.
+call order) make a consumer's output independent of which index answered
+and of the order it found edges in — which is how the indexed DRC and
+extraction engines stay byte-identical to their all-pairs reference paths.
 """
 
 from __future__ import annotations

@@ -92,13 +92,13 @@ class Cell:
 
     # -- pickling ------------------------------------------------------------
     #
-    # Cells cross process boundaries in the parallel analysis paths
-    # (repro.parallel).  The parent back-references are weakrefs (not
-    # picklable) and the flat cache is redundant, so both stay behind; the
-    # receiving side rebuilds the back-references from the instance lists of
-    # the cells that arrived in the same pickle.  A parent outside the
-    # pickled subgraph is not reconstructed — mutation propagation is scoped
-    # to the transferred DAG, which is all a worker process can see anyway.
+    # The artifact store (repro.store) pickles cells into its blobs: every
+    # hier artifact references a view, and a view references its cells.
+    # The parent back-references are weakrefs (not picklable) and the flat
+    # cache is redundant, so both stay behind; unpickling rebuilds the
+    # back-references from the instance lists of the cells that arrived in
+    # the same pickle.  A parent outside the pickled subgraph is not
+    # reconstructed — mutation propagation is scoped to the loaded DAG.
     # The bbox memo is dropped from the state too, so a pickled cell has the
     # same layout as the STORE_FORMAT 1 blobs already on disk; __setstate__
     # defaults it.

@@ -14,12 +14,10 @@ enabled (``REPRO_TRACE=<path>`` or :func:`enable`), each span records one
 Chrome *complete* event (``"ph": "X"``) with epoch-microsecond start time,
 duration, pid, tid and its keyword attributes.
 
-The buffer is process-local.  Pool workers ship their buffered events back
-to the parent piggybacked on task results (:class:`repro.parallel.SharedPool`
-wraps/unwraps them transparently), and the parent :func:`ingest`\\ s them, so
-one trace file shows the real multi-process timeline with correct pids.
-Timestamps are epoch-based precisely so parent and worker spans share one
-clock.
+The buffer is process-local.  :func:`drain` takes a pass's events out of
+it and :func:`ingest` puts saved events back, so a caller can keep the
+trace of one chosen pass (the flow benchmark writes only its last traced
+pass) while later passes record into an empty buffer.
 
 :func:`write` emits ``{"traceEvents": [...], "displayTimeUnit": "ms"}`` —
 the JSON object form of the trace-event format — which loads directly in
@@ -157,32 +155,24 @@ def reset() -> None:
     _EVENTS.clear()
 
 
-def fork_reset() -> None:
-    """Drop events a forked worker inherited from its parent's buffer.
-
-    Called by the pool layer when a process first discovers it is a worker;
-    without it every fork child would re-ship the parent's history.
-    """
-    _EVENTS.clear()
-
-
 def drain() -> List[dict]:
-    """Remove and return all buffered events (workers ship these back)."""
+    """Remove and return all buffered events, leaving the buffer empty."""
     events = _EVENTS[:]
     _EVENTS.clear()
     return events
 
 
 def ingest(events: List[dict]) -> None:
-    """Merge events shipped back from a worker into this process's buffer."""
+    """Append previously drained events to this process's buffer."""
     _EVENTS.extend(events)
 
 
 def write(path: Optional[str] = None) -> str:
     """Write the buffered events as a Chrome trace JSON file.
 
-    Adds ``process_name`` metadata events so Perfetto labels the parent and
-    each worker pid.  The buffer is left intact (callers may keep tracing).
+    Adds ``process_name`` metadata events so Perfetto labels the tracing
+    process and any other pid whose events were ingested.  The buffer is
+    left intact (callers may keep tracing).
     """
     target = path or _PATH
     if target is None:
@@ -191,7 +181,7 @@ def write(path: Optional[str] = None) -> str:
     metadata = [{
         "name": "process_name", "ph": "M", "pid": pid, "tid": 0,
         "args": {"name": "repro" if pid == _OWNER_PID
-                 else f"repro worker {pid}"},
+                 else f"repro {pid}"},
     } for pid in pids]
     document = {"traceEvents": metadata + _EVENTS, "displayTimeUnit": "ms"}
     with open(target, "w", encoding="utf-8") as handle:

@@ -278,6 +278,11 @@ class TestBitplane:
         with pytest.raises(KeyError, match="unknown input net"):
             run_streams(CompiledNetlist(m), [[{"a_typo": 1}]])
 
+    def test_ragged_streams_raise_value_error(self):
+        ragged = [[{}], [{}, {}]] * 32
+        with pytest.raises(ValueError, match="same length"):
+            run_streams(CompiledNetlist(two_bit_counter()), ragged)
+
     def test_omitted_inputs_hold_their_previous_value(self):
         m = Module("and2")
         m.add_inputs("a", "b")

@@ -32,7 +32,6 @@ BUILD_COUNTERS = ("views", "drc_artifacts", "extract_artifacts",
 def run_driver(store_dir):
     env = dict(os.environ)
     env["REPRO_STORE"] = str(store_dir)
-    env.pop("REPRO_WORKERS", None)       # determinism is the point here
     result = subprocess.run(
         [sys.executable, DRIVER], env=env, capture_output=True, text=True,
         check=True, timeout=1800)
